@@ -91,6 +91,54 @@ void BM_TopKQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKQuery)->Arg(0)->Arg(1);
 
+// Full in-memory ORDER BY (no LIMIT) over 1M rows on CPU: one float key
+// (Arg 0) and an int key with a descending float tie-break (Arg 1).
+void BM_SortQuery(benchmark::State& state) {
+  QueryBench bench(1 << 20);
+  auto query = bench.session.Query(
+      state.range(0) == 0 ? "SELECT k, v FROM t ORDER BY v"
+                          : "SELECT k, v FROM t ORDER BY k, v DESC");
+  TDP_CHECK(query.ok());
+  for (auto _ : state) {
+    auto result = (*query)->RunChunk();
+    TDP_CHECK(result.ok());
+    benchmark::DoNotOptimize(result->num_rows());
+  }
+}
+BENCHMARK(BM_SortQuery)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// DISTINCT and COUNT(DISTINCT) over a dictionary and an int key: the flat
+// key table's two consumers.
+void BM_DistinctQuery(benchmark::State& state) {
+  QueryBench bench(1 << 14);
+  QueryOptions options;
+  options.device = ArgDevice(state);
+  auto query =
+      bench.session.Query("SELECT DISTINCT tag, k FROM t", options);
+  TDP_CHECK(query.ok());
+  for (auto _ : state) {
+    auto result = (*query)->RunChunk();
+    TDP_CHECK(result.ok());
+    benchmark::DoNotOptimize(result->num_rows());
+  }
+}
+BENCHMARK(BM_DistinctQuery)->Arg(0)->Arg(1);
+
+void BM_CountDistinctQuery(benchmark::State& state) {
+  QueryBench bench(1 << 14);
+  QueryOptions options;
+  options.device = ArgDevice(state);
+  auto query = bench.session.Query(
+      "SELECT tag, COUNT(DISTINCT k) FROM t GROUP BY tag", options);
+  TDP_CHECK(query.ok());
+  for (auto _ : state) {
+    auto result = (*query)->RunChunk();
+    TDP_CHECK(result.ok());
+    benchmark::DoNotOptimize(result->num_rows());
+  }
+}
+BENCHMARK(BM_CountDistinctQuery)->Arg(0)->Arg(1);
+
 void BM_JoinQuery(benchmark::State& state) {
   QueryBench bench(1 << 12);
   Rng rng(23);

@@ -1,6 +1,7 @@
 #ifndef TDP_EXEC_OPERATOR_KERNELS_H_
 #define TDP_EXEC_OPERATOR_KERNELS_H_
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -14,15 +15,7 @@ namespace exec {
 
 struct SpilledJoinBuild;  // spill_kernels.h
 
-// ---- Key normalization (shared with the spill kernels) ---------------------
-
-/// Per-row integer codes whose equality and order agree with value
-/// equality and order WITHIN this column: dictionary columns yield their
-/// codes, PE columns hard-decode first, plain float columns rank through
-/// Unique. Float ranks are relative to the whole column — for codes that
-/// stay comparable across separately-encoded pages see
-/// `OrderPreservingCodes` (spill_kernels.h).
-StatusOr<std::vector<int64_t>> ColumnToCodes(const Column& column);
+// ---- Join keys (shared with the spill kernels) -----------------------------
 
 /// Normalized per-row join keys for one side (strings FNV-1a hashed,
 /// numerics as -0-normalized double bit patterns). Row-local, so keys are
@@ -140,6 +133,46 @@ StatusOr<AggInputs> EvaluateAggInputs(const plan::AggregateNode& node,
 /// at the breaker).
 AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts);
 
+/// One aggregate's per-group partial state: the SUM/AVG/MIN/MAX
+/// accumulator, the row count, and whether any row landed. The in-memory
+/// and the paged aggregate fold rows and block partials through these same
+/// methods, so their floating-point reduction trees are one code path.
+struct AggState {
+  explicit AggState(int64_t num_groups)
+      : acc(static_cast<size_t>(num_groups), 0.0),
+        counts(static_cast<size_t>(num_groups), 0),
+        has(static_cast<size_t>(num_groups), 0) {}
+
+  /// Folds one row's argument `v` into group `g`.
+  void Add(plan::AggKind kind, size_t g, double v) {
+    switch (kind) {
+      case plan::AggKind::kCountStar:
+      case plan::AggKind::kCount:
+        break;
+      case plan::AggKind::kSum:
+      case plan::AggKind::kAvg:
+        acc[g] += v;
+        break;
+      case plan::AggKind::kMin:
+        acc[g] = has[g] ? std::min(acc[g], v) : v;
+        break;
+      case plan::AggKind::kMax:
+        acc[g] = has[g] ? std::max(acc[g], v) : v;
+        break;
+    }
+    has[g] = 1;
+    ++counts[g];
+  }
+  /// Folds a block's partials in; callers pass blocks in block order.
+  void Merge(plan::AggKind kind, const AggState& block);
+  /// The aggregate's output column in the schema's `dtype`.
+  Column Finish(plan::AggKind kind, DType dtype, Device device) const;
+
+  std::vector<double> acc;
+  std::vector<int64_t> counts;
+  std::vector<unsigned char> has;
+};
+
 /// Groups, accumulates (fixed 4096-row blocks, block-order combine) and
 /// materializes the aggregate output columns.
 StatusOr<Chunk> FinalizeAggregate(const plan::AggregateNode& node,
@@ -153,7 +186,8 @@ StatusOr<Chunk> ExecuteTvfScan(const plan::TvfScanNode& node, Chunk input,
 StatusOr<Chunk> ExecuteSort(const plan::SortNode& node, const Chunk& input,
                             const ExecContext& ctx);
 StatusOr<Chunk> ExecuteLimit(const plan::LimitNode& node, const Chunk& input);
-StatusOr<Chunk> ExecuteDistinct(const Chunk& input);
+/// First occurrence of each distinct row, in input order.
+StatusOr<Chunk> ExecuteDistinct(const Chunk& input, const ExecContext& ctx);
 
 /// Index-accelerated top-k similarity (see `plan::IndexTopKNode`): probes
 /// the run snapshot's vector index for candidate rows

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +10,7 @@
 #include "src/common/thread_pool.h"
 #include "src/exec/bound_expr.h"
 #include "src/exec/fused_filter_project.h"
+#include "src/exec/key_codes.h"
 #include "src/exec/operator_kernels.h"
 #include "src/exec/primitive_cache.h"
 #include "src/exec/soft_ops.h"
@@ -47,41 +46,6 @@ EvalOptions EvalOpts(const ExecContext& ctx) {
 }
 
 }  // namespace
-
-// ---- Key normalization ------------------------------------------------------
-//
-// Grouping / joining / distinct all need a per-row integer code whose
-// equality (and order) agrees with value equality (and order). Dictionary
-// columns already are codes; numeric columns are ranked through Unique.
-// Exported (operator_kernels.h) for the spill kernels, which must derive
-// the same key equivalences page by page.
-
-StatusOr<std::vector<int64_t>> ColumnToCodes(const Column& column) {
-  switch (column.encoding()) {
-    case Encoding::kDictionary:
-      return column.data().ToVector<int64_t>();
-    case Encoding::kProbability: {
-      // Hard-decode, then rank.
-      const Column hard = Column::Plain(column.DecodeValues());
-      return ColumnToCodes(hard);
-    }
-    case Encoding::kPlain: {
-      const Tensor& data = column.data();
-      if (data.dim() != 1) {
-        return Status::TypeError(
-            "tensor-valued columns cannot be grouping/join keys");
-      }
-      if (data.dtype() == DType::kInt64) return data.ToVector<int64_t>();
-      if (data.dtype() == DType::kBool) {
-        return data.To(DType::kInt64).ToVector<int64_t>();
-      }
-      // Rank values through Unique so float equality becomes code equality.
-      const UniqueResult uniq = Unique(data.Detach());
-      return uniq.inverse.ToVector<int64_t>();
-    }
-  }
-  return Status::Internal("unknown encoding");
-}
 
 // Normalized per-row join keys for one side: strings hash decoded values
 // (FNV-1a 64 over short strings — collisions astronomically unlikely,
@@ -354,6 +318,56 @@ AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts) {
   return out;
 }
 
+void AggState::Merge(AggKind kind, const AggState& block) {
+  for (size_t g = 0; g < acc.size(); ++g) {
+    if (!block.has[g]) continue;
+    switch (kind) {
+      case AggKind::kCountStar:
+      case AggKind::kCount:
+        break;
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        acc[g] += block.acc[g];
+        break;
+      case AggKind::kMin:
+        acc[g] = has[g] ? std::min(acc[g], block.acc[g]) : block.acc[g];
+        break;
+      case AggKind::kMax:
+        acc[g] = has[g] ? std::max(acc[g], block.acc[g]) : block.acc[g];
+        break;
+    }
+    has[g] = 1;
+    counts[g] += block.counts[g];
+  }
+}
+
+Column AggState::Finish(AggKind kind, DType dtype, Device device) const {
+  const int64_t num_groups = static_cast<int64_t>(acc.size());
+  Tensor result = Tensor::Zeros({num_groups}, dtype, device);
+  for (int64_t g = 0; g < num_groups; ++g) {
+    const size_t ug = static_cast<size_t>(g);
+    double v = 0;
+    switch (kind) {
+      case AggKind::kCountStar:
+      case AggKind::kCount:
+        v = static_cast<double>(counts[ug]);
+        break;
+      case AggKind::kSum:
+        v = acc[ug];
+        break;
+      case AggKind::kAvg:
+        v = counts[ug] > 0 ? acc[ug] / static_cast<double>(counts[ug]) : 0;
+        break;
+      case AggKind::kMin:
+      case AggKind::kMax:
+        v = acc[ug];
+        break;
+    }
+    result.SetAt({g}, v);
+  }
+  return Column::Plain(std::move(result));
+}
+
 StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
                                   const AggInputs& inputs,
                                   const ExecContext& ctx) {
@@ -377,54 +391,39 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
           static_cast<int64_t>(inputs.key_columns.size() +
                                node.aggregates.size() + 2));
 
-  std::vector<std::vector<int64_t>> key_codes;
-  key_codes.reserve(inputs.key_columns.size());
-  for (const Column& key : inputs.key_columns) {
-    TDP_ASSIGN_OR_RETURN(std::vector<int64_t> codes, ColumnToCodes(key));
-    key_codes.push_back(std::move(codes));
-  }
-
-  // Assign group ids; order groups lexicographically by key codes (codes
-  // are order-preserving, so this sorts by value).
-  std::map<std::vector<int64_t>, int64_t> group_ids;
-  std::vector<int64_t> row_group(static_cast<size_t>(rows));
-  std::vector<int64_t> key(key_codes.size());
-  for (int64_t r = 0; r < rows; ++r) {
-    for (size_t k = 0; k < key_codes.size(); ++k) {
-      key[k] = key_codes[k][static_cast<size_t>(r)];
+  // Group ids: the flat key table numbers groups in first-seen order
+  // (recording each group's first row, its representative), then ranks
+  // them in key-code order — codes are order-preserving, so groups come
+  // out sorted by value.
+  const size_t width = inputs.key_columns.size();
+  std::vector<int64_t> row_group(static_cast<size_t>(rows), 0);
+  std::vector<int64_t> representative;
+  int64_t num_groups = 1;
+  if (!node.group_exprs.empty()) {
+    TDP_ASSIGN_OR_RETURN(std::vector<int64_t> packed,
+                         PackedKeyCodes(inputs.key_columns, rows));
+    KeyTable groups(width);
+    std::vector<int64_t> first_row;
+    for (int64_t r = 0; r < rows; ++r) {
+      bool inserted = false;
+      row_group[static_cast<size_t>(r)] =
+          groups.Insert(packed.data() + static_cast<size_t>(r) * width,
+                        &inserted);
+      if (inserted) first_row.push_back(r);
     }
-    auto [it, inserted] = group_ids.emplace(key, 0);
-    (void)inserted;
-    row_group[static_cast<size_t>(r)] = 0;  // filled after renumbering
-  }
-  // Renumber in sorted order and record a representative row per group.
-  int64_t next_id = 0;
-  for (auto& [unused_key, id] : group_ids) id = next_id++;
-  const int64_t num_groups =
-      node.group_exprs.empty() ? 1 : next_id;
-  std::vector<int64_t> representative(
-      static_cast<size_t>(std::max<int64_t>(num_groups, 1)), -1);
-  // Group-id lookups are read-only on the finished map, so the per-row
-  // assignment shards across the pool; the representative (first row of
-  // each group) is recovered serially afterwards.
-  const auto& frozen_group_ids = group_ids;
-  ParallelFor(0, rows, GrainForCost(8), [&](int64_t row_begin,
-                                            int64_t row_end) {
-    std::vector<int64_t> local_key(key_codes.size());
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      int64_t gid = 0;
-      if (!node.group_exprs.empty()) {
-        for (size_t k = 0; k < key_codes.size(); ++k) {
-          local_key[k] = key_codes[k][static_cast<size_t>(r)];
-        }
-        gid = frozen_group_ids.at(local_key);
-      }
-      row_group[static_cast<size_t>(r)] = gid;
+    const std::vector<int64_t> rank = groups.SortedRanks();
+    num_groups = groups.size();
+    representative.resize(static_cast<size_t>(num_groups));
+    for (size_t id = 0; id < rank.size(); ++id) {
+      representative[static_cast<size_t>(rank[id])] = first_row[id];
     }
-  });
-  for (int64_t r = 0; r < rows; ++r) {
-    const size_t gid = static_cast<size_t>(row_group[static_cast<size_t>(r)]);
-    if (representative[gid] < 0) representative[gid] = r;
+    ParallelFor(0, rows, GrainForCost(2),
+                [&row_group, &rank](int64_t row_begin, int64_t row_end) {
+                  for (int64_t r = row_begin; r < row_end; ++r) {
+                    int64_t& g = row_group[static_cast<size_t>(r)];
+                    g = rank[static_cast<size_t>(g)];
+                  }
+                });
   }
 
   Chunk out;
@@ -450,9 +449,6 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
   // Aggregates.
   for (size_t def_index = 0; def_index < node.aggregates.size(); ++def_index) {
     const AggDef& def = node.aggregates[def_index];
-    std::vector<double> acc(static_cast<size_t>(num_groups), 0.0);
-    std::vector<int64_t> counts(static_cast<size_t>(num_groups), 0);
-
     std::vector<double> arg_values;
     std::vector<int64_t> arg_codes;  // for DISTINCT
     if (def.arg) {
@@ -469,14 +465,13 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
       }
       arg_values = values.To(DType::kFloat64).ToVector<double>();
       if (def.distinct) {
-        TDP_ASSIGN_OR_RETURN(arg_codes, ColumnToCodes(arg_col));
+        bool unused_is_float = false;
+        TDP_ASSIGN_OR_RETURN(arg_codes,
+                             OrderPreservingCodes(arg_col, &unused_is_float));
       }
     }
 
-    std::vector<std::set<int64_t>> distinct_seen;
-    if (def.distinct) {
-      distinct_seen.resize(static_cast<size_t>(num_groups));
-    }
+    KeyTable distinct_seen(2);  // (group, argument code) pairs
 
     // Chunk-at-a-time accumulation. Rows are folded into fixed-size blocks
     // (block partials are combined in block order), so the floating-point
@@ -484,126 +479,52 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
     // for every TDP_NUM_THREADS and every morsel size (the streaming
     // executor merges per-morsel inputs in morsel order before this
     // accumulation, re-blocking at the same fixed boundaries). DISTINCT
-    // keeps per-group ordered sets and stays serial; high-cardinality
-    // group-bys fall back to the serial loop rather than materializing
-    // huge partial tables.
+    // counts first occurrences of (group, code) pairs and stays serial;
+    // high-cardinality group-bys fall back to the serial loop rather than
+    // materializing huge partial tables.
     constexpr int64_t kAggBlock = 4096;
     const int64_t num_blocks = (rows + kAggBlock - 1) / kAggBlock;
     // Parallelize only when the block merge (num_blocks * num_groups
     // entries) costs no more than the row accumulation it speeds up.
     const bool parallel_ok =
         !def.distinct && num_blocks > 1 && num_blocks * num_groups <= rows;
-    auto accumulate_rows = [&](int64_t row_begin, int64_t row_end,
-                               double* block_acc, int64_t* block_counts,
-                               unsigned char* block_has) {
+    const auto accumulate_rows = [&](int64_t row_begin, int64_t row_end,
+                                     AggState& state) {
       for (int64_t r = row_begin; r < row_end; ++r) {
         const size_t g =
             static_cast<size_t>(row_group[static_cast<size_t>(r)]);
         if (def.distinct && def.arg) {
-          if (!distinct_seen[g].insert(arg_codes[static_cast<size_t>(r)])
-                   .second) {
-            continue;
-          }
+          const int64_t pair[2] = {static_cast<int64_t>(g),
+                                   arg_codes[static_cast<size_t>(r)]};
+          bool inserted = false;
+          distinct_seen.Insert(pair, &inserted);
+          if (!inserted) continue;
         }
-        const double v =
-            def.arg ? arg_values[static_cast<size_t>(r)] : 0.0;
-        switch (def.kind) {
-          case AggKind::kCountStar:
-          case AggKind::kCount:
-            break;
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            block_acc[g] += v;
-            break;
-          case AggKind::kMin:
-            block_acc[g] = block_has[g] ? std::min(block_acc[g], v) : v;
-            break;
-          case AggKind::kMax:
-            block_acc[g] = block_has[g] ? std::max(block_acc[g], v) : v;
-            break;
-        }
-        block_has[g] = 1;
-        ++block_counts[g];
+        state.Add(def.kind, g, def.arg ? arg_values[static_cast<size_t>(r)]
+                                       : 0.0);
       }
     };
 
-    std::vector<unsigned char> has_flags(static_cast<size_t>(num_groups), 0);
+    AggState total(num_groups);
     if (parallel_ok) {
-      std::vector<double> blk_acc(
-          static_cast<size_t>(num_blocks * num_groups), 0.0);
-      std::vector<int64_t> blk_counts(
-          static_cast<size_t>(num_blocks * num_groups), 0);
-      std::vector<unsigned char> blk_has(
-          static_cast<size_t>(num_blocks * num_groups), 0);
+      std::vector<AggState> blocks(static_cast<size_t>(num_blocks),
+                                   AggState(num_groups));
       ParallelFor(0, num_blocks, GrainForCost(kAggBlock),
                   [&](int64_t block_begin, int64_t block_end) {
                     for (int64_t blk = block_begin; blk < block_end; ++blk) {
                       const int64_t lo = blk * kAggBlock;
-                      const int64_t hi = std::min(rows, lo + kAggBlock);
-                      const size_t base =
-                          static_cast<size_t>(blk * num_groups);
-                      accumulate_rows(lo, hi, blk_acc.data() + base,
-                                      blk_counts.data() + base,
-                                      blk_has.data() + base);
+                      accumulate_rows(lo, std::min(rows, lo + kAggBlock),
+                                      blocks[static_cast<size_t>(blk)]);
                     }
                   });
-      for (int64_t blk = 0; blk < num_blocks; ++blk) {
-        const size_t base = static_cast<size_t>(blk * num_groups);
-        for (int64_t g = 0; g < num_groups; ++g) {
-          const size_t ug = static_cast<size_t>(g);
-          if (!blk_has[base + ug]) continue;
-          switch (def.kind) {
-            case AggKind::kCountStar:
-            case AggKind::kCount:
-              break;
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              acc[ug] += blk_acc[base + ug];
-              break;
-            case AggKind::kMin:
-              acc[ug] = has_flags[ug] ? std::min(acc[ug], blk_acc[base + ug])
-                                      : blk_acc[base + ug];
-              break;
-            case AggKind::kMax:
-              acc[ug] = has_flags[ug] ? std::max(acc[ug], blk_acc[base + ug])
-                                      : blk_acc[base + ug];
-              break;
-          }
-          has_flags[ug] = 1;
-          counts[ug] += blk_counts[base + ug];
-        }
-      }
+      for (const AggState& block : blocks) total.Merge(def.kind, block);
     } else {
-      accumulate_rows(0, rows, acc.data(), counts.data(), has_flags.data());
-    }
-
-    // Materialize the aggregate output column with the schema's dtype.
-    const DType out_dtype =
-        node.schema[node.group_exprs.size() + def_index].dtype;
-    Tensor result = Tensor::Zeros({num_groups}, out_dtype, ctx.device);
-    for (int64_t g = 0; g < num_groups; ++g) {
-      const size_t ug = static_cast<size_t>(g);
-      double v = 0;
-      switch (def.kind) {
-        case AggKind::kCountStar:
-        case AggKind::kCount:
-          v = static_cast<double>(counts[ug]);
-          break;
-        case AggKind::kSum:
-          v = acc[ug];
-          break;
-        case AggKind::kAvg:
-          v = counts[ug] > 0 ? acc[ug] / static_cast<double>(counts[ug]) : 0;
-          break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          v = acc[ug];
-          break;
-      }
-      result.SetAt({g}, v);
+      accumulate_rows(0, rows, total);
     }
     out.names.push_back(def.name);
-    out.columns.push_back(Column::Plain(std::move(result)));
+    out.columns.push_back(total.Finish(
+        def.kind, node.schema[node.group_exprs.size() + def_index].dtype,
+        ctx.device));
   }
   return out;
 }
@@ -755,42 +676,59 @@ StatusOr<Chunk> ProbeJoin(const JoinNode& node, const JoinHashTable& ht,
 
 // ---- Sort / Limit / Distinct ------------------------------------------------
 
+namespace {
+
+// The sort's key codes over the whole relation (per-morsel evaluation
+// could diverge for non-row-local key expressions).
+StatusOr<SortKeys> EvaluateSortKeys(const SortNode& node, const Chunk& input,
+                                    const ExecContext& ctx) {
+  SortKeys keys;
+  for (const auto& item : node.items) {
+    TDP_ASSIGN_OR_RETURN(
+        Column key_col,
+        EvaluateExprToColumn(*item.expr, input, EvalOpts(ctx)));
+    const Tensor values = key_col.DecodeValues();
+    if (values.dim() != 1) {
+      return Status::TypeError("ORDER BY key must be a scalar column");
+    }
+    TDP_RETURN_NOT_OK(keys.Add(values, item.descending));
+  }
+  return keys;
+}
+
+}  // namespace
+
 StatusOr<Chunk> ExecuteSort(const SortNode& node, const Chunk& input,
                             const ExecContext& ctx) {
   const int64_t rows = input.num_rows();
-  // In-memory sort scratch: the gathered keys + permutation (+ the output
-  // copy of the relation, since `input` stays live until Select returns).
-  // Over budget -> external merge sort, bit-identical permutation.
+  TDP_ASSIGN_OR_RETURN(SortKeys keys, EvaluateSortKeys(node, input, ctx));
+  const int64_t code_bytes =
+      rows * 8 * static_cast<int64_t>(node.items.size());
+  if (node.fused_limit >= 0) {
+    // Bounded top-k: the resident set is the key codes plus the k winners.
+    // An external sort keeps the same codes resident, so it never spills.
+    const int64_t k = std::min(node.fused_limit, rows);
+    const int64_t row_bytes =
+        rows > 0 ? ChunkFootprintBytes(input) / rows : 0;
+    const ScopedReservation reservation(ctx.memory,
+                                        code_bytes + k * (row_bytes + 8));
+    return input.Select(Tensor::FromVector(
+        SortPermutation(keys, rows, node.fused_limit), {}, ctx.device));
+  }
+  // In-memory sort scratch: the key codes + permutation (+ the output copy
+  // of the relation, since `input` stays live until Select returns). Over
+  // budget -> external merge sort, bit-identical permutation.
   if (ctx.memory != nullptr && !ctx.soft_mode && rows > 0 &&
       !node.items.empty()) {
-    const int64_t scratch =
-        ChunkFootprintBytes(input) +
-        rows * 8 * static_cast<int64_t>(node.items.size() + 2);
+    const int64_t scratch = ChunkFootprintBytes(input) + code_bytes +
+                            rows * 16;
     if (ctx.memory->ShouldSpill(scratch)) {
-      return ExternalSortChunk(node, input, ctx);
+      return ExternalSortChunk(input, keys, ctx);
     }
   }
-  const ScopedReservation reservation(
-      ctx.memory,
-      rows * 8 * static_cast<int64_t>(node.items.size() + 2));
-  Tensor perm = Tensor::Arange(rows, DType::kInt64, ctx.device);
-  // Stable multi-key sort: apply keys from last to first.
-  for (auto it = node.items.rbegin(); it != node.items.rend(); ++it) {
-    TDP_ASSIGN_OR_RETURN(
-        Column key_col,
-        EvaluateExprToColumn(*it->expr, input, EvalOpts(ctx)));
-    Tensor keys = key_col.DecodeValues();
-    if (keys.dim() != 1) {
-      return Status::TypeError("ORDER BY key must be a scalar column");
-    }
-    const Tensor gathered = IndexSelect(keys.Detach(), 0, perm);
-    const Tensor order = ArgSort(gathered, it->descending);
-    perm = IndexSelect(perm, 0, order);
-  }
-  if (node.fused_limit >= 0 && node.fused_limit < rows) {
-    perm = Slice(perm, 0, 0, node.fused_limit).Contiguous();
-  }
-  return input.Select(perm);
+  const ScopedReservation reservation(ctx.memory, code_bytes + rows * 16);
+  return input.Select(
+      Tensor::FromVector(SortPermutation(keys, rows, -1), {}, ctx.device));
 }
 
 StatusOr<Chunk> ExecuteLimit(const LimitNode& node, const Chunk& input) {
@@ -808,21 +746,20 @@ StatusOr<Chunk> ExecuteLimit(const LimitNode& node, const Chunk& input) {
   return input.Select(idx);
 }
 
-StatusOr<Chunk> ExecuteDistinct(const Chunk& input) {
+StatusOr<Chunk> ExecuteDistinct(const Chunk& input, const ExecContext& ctx) {
   const int64_t rows = input.num_rows();
-  std::vector<std::vector<int64_t>> codes;
-  for (const Column& c : input.columns) {
-    TDP_ASSIGN_OR_RETURN(std::vector<int64_t> col_codes, ColumnToCodes(c));
-    codes.push_back(std::move(col_codes));
-  }
-  std::set<std::vector<int64_t>> seen;
+  const size_t width = input.columns.size();
+  const ScopedReservation reservation(
+      ctx.memory, rows * KeyTable::BytesPerRow(static_cast<int64_t>(width)));
+  TDP_ASSIGN_OR_RETURN(std::vector<int64_t> packed,
+                       PackedKeyCodes(input.columns, rows));
+  // First occurrences, in row order.
+  KeyTable seen(width);
   std::vector<int64_t> keep;
-  std::vector<int64_t> key(codes.size());
   for (int64_t r = 0; r < rows; ++r) {
-    for (size_t k = 0; k < codes.size(); ++k) {
-      key[k] = codes[k][static_cast<size_t>(r)];
-    }
-    if (seen.insert(key).second) keep.push_back(r);
+    bool inserted = false;
+    seen.Insert(packed.data() + static_cast<size_t>(r) * width, &inserted);
+    if (inserted) keep.push_back(r);
   }
   const Device device =
       input.columns.empty() ? Device::kCpu : input.columns[0].data().device();
@@ -853,31 +790,28 @@ StatusOr<Chunk> ProjectIndexTopK(const plan::IndexTopKNode& node,
 }
 
 // Top-k permutation over `n` rows ranked by the node's sort keys — the
-// similarity DESC first, then the absorbed `extra_keys` tie-breaks —
-// composed as stable argsorts applied last-key-first, mirroring
-// ExecuteSort exactly so candidate-subset ranking reproduces the exact
-// plan's order (ties included) bit for bit. `key_values(ordinal)` yields
-// the decoded 1-d values of `exprs[ordinal]` over those n rows.
+// similarity DESC first, then the absorbed `extra_keys` tie-breaks, lower
+// row first on full ties — the same bounded top-k ExecuteSort runs, so
+// candidate-subset ranking reproduces the exact plan's order (ties
+// included) bit for bit. `key_values(ordinal)` yields the decoded 1-d
+// values of `exprs[ordinal]` over those n rows.
 StatusOr<Tensor> TopKPerm(
     const plan::IndexTopKNode& node, int64_t n, Device device,
     const std::function<StatusOr<Tensor>(int64_t)>& key_values) {
-  std::vector<std::pair<int64_t, bool>> keys;  // (ordinal, descending)
-  keys.emplace_back(node.sim_ordinal, true);
+  std::vector<std::pair<int64_t, bool>> items;  // (ordinal, descending)
+  items.emplace_back(node.sim_ordinal, true);
   for (const auto& extra : node.extra_keys) {
-    keys.emplace_back(extra.ordinal, extra.descending);
+    items.emplace_back(extra.ordinal, extra.descending);
   }
-  Tensor perm = Tensor::Arange(n, DType::kInt64, device);
-  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
-    TDP_ASSIGN_OR_RETURN(Tensor values, key_values(it->first));
+  SortKeys keys;
+  for (const auto& [ordinal, descending] : items) {
+    TDP_ASSIGN_OR_RETURN(Tensor values, key_values(ordinal));
     if (values.dim() != 1) {
       return Status::TypeError("similarity key must be a scalar column");
     }
-    const Tensor gathered = IndexSelect(values.Detach(), 0, perm);
-    const Tensor order = ArgSort(gathered, it->second);
-    perm = IndexSelect(perm, 0, order);
+    TDP_RETURN_NOT_OK(keys.Add(values, descending));
   }
-  const int64_t out_k = std::min<int64_t>(node.k, n);
-  return Slice(perm, 0, 0, out_k).Contiguous();
+  return Tensor::FromVector(SortPermutation(keys, n, node.k), {}, device);
 }
 
 // The k = 0 / zero-survivor result: the projection evaluated over the
@@ -1652,7 +1586,7 @@ StatusOr<Chunk> ExecuteNode(const LogicalNode& node, const ExecContext& ctx) {
     }
     case plan::NodeKind::kDistinct: {
       TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteDistinct(input);
+      return ExecuteDistinct(input, ctx);
     }
     case plan::NodeKind::kIndexTopK: {
       TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));

@@ -1,9 +1,7 @@
 #include "src/exec/spill_kernels.h"
 
 #include <algorithm>
-#include <map>
 #include <queue>
-#include <set>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -21,7 +19,6 @@ using plan::AggDef;
 using plan::AggKind;
 using plan::AggregateNode;
 using plan::JoinNode;
-using plan::SortNode;
 
 EvalOptions EvalOpts(const ExecContext& ctx) {
   EvalOptions opts;
@@ -32,34 +29,6 @@ EvalOptions EvalOpts(const ExecContext& ctx) {
   return opts;
 }
 
-StatusOr<std::vector<int64_t>> TensorOrderCodes(const Tensor& values,
-                                                bool* is_float) {
-  if (values.dim() != 1) {
-    return Status::TypeError(
-        "tensor-valued columns cannot be grouping/join keys");
-  }
-  switch (values.dtype()) {
-    case DType::kInt64:
-      *is_float = false;
-      return values.ToVector<int64_t>();
-    case DType::kInt32:
-    case DType::kUInt8:
-    case DType::kBool:
-      *is_float = false;
-      return values.To(DType::kInt64).ToVector<int64_t>();
-    case DType::kFloat32:
-    case DType::kFloat64: {
-      *is_float = true;
-      const std::vector<double> d =
-          values.To(DType::kFloat64).ToVector<double>();
-      std::vector<int64_t> codes(d.size());
-      for (size_t i = 0; i < d.size(); ++i) codes[i] = DoubleOrderCode(d[i]);
-      return codes;
-    }
-  }
-  return Status::Internal("unknown dtype");
-}
-
 // Rows-per-run / partition-count sizing against the budget. The spill
 // paths must work at ANY positive budget (the differential suite runs
 // pathological 1-byte budgets), so sizes are floored rather than failed.
@@ -68,10 +37,8 @@ int64_t ClampRows(int64_t v, int64_t lo, int64_t hi) {
 }
 
 // Copies row `i` of contiguous `src` into row `pos[i]` of contiguous
-// `dst` for every row of `src`; `pos` entries of -1 are skipped (rows
-// beyond a fused limit). Exact byte copies — no value re-encoding.
-void ScatterRows(Tensor& dst, const Tensor& src,
-                 const std::vector<int64_t>& pos) {
+// `dst` for every row of `src`. Exact byte copies — no value re-encoding.
+void ScatterRows(Tensor& dst, const Tensor& src, const int64_t* pos) {
   const int64_t src_rows = src.size(0);
   if (src_rows == 0) return;
   const int64_t row_elems = src.numel() / src_rows;
@@ -79,9 +46,7 @@ void ScatterRows(Tensor& dst, const Tensor& src,
   const uint8_t* sp = TensorRawBytes(src);
   uint8_t* dp = TensorRawBytesMutable(dst);
   for (int64_t i = 0; i < src_rows; ++i) {
-    const int64_t p = pos[static_cast<size_t>(i)];
-    if (p < 0) continue;
-    std::memcpy(dp + p * row_bytes, sp + i * row_bytes,
+    std::memcpy(dp + pos[i] * row_bytes, sp + i * row_bytes,
                 static_cast<size_t>(row_bytes));
   }
 }
@@ -112,49 +77,18 @@ Column WrapLike(const Column& prototype, Tensor payload) {
 
 }  // namespace
 
-StatusOr<std::vector<int64_t>> OrderPreservingCodes(const Column& column,
-                                                    bool* is_float) {
-  switch (column.encoding()) {
-    case Encoding::kDictionary:
-      *is_float = false;
-      return column.data().ToVector<int64_t>();
-    case Encoding::kProbability:
-    case Encoding::kPlain:
-      return TensorOrderCodes(column.DecodeValues(), is_float);
-  }
-  return Status::Internal("unknown encoding");
-}
-
 // ---- External merge sort ----------------------------------------------------
 
-StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
+StatusOr<Chunk> ExternalSortChunk(const Chunk& input, const SortKeys& keys,
                                   const ExecContext& ctx) {
   QueryMemory* mem = ctx.memory;
   TDP_CHECK(mem != nullptr);
   const int64_t rows = input.num_rows();
-  const size_t num_keys = node.items.size();
+  const size_t num_keys = keys.codes.size();
   TDP_CHECK(rows > 0 && num_keys > 0);
 
-  // Sort keys are evaluated over the whole relation, exactly as the
-  // in-memory kernel does (per-run evaluation could diverge for
-  // non-row-local key expressions), then collapsed to order codes. The
-  // code arrays are this path's resident working set — 8 bytes/row/key vs
-  // the payload+permutation+copy footprint the in-memory sort holds.
-  std::vector<std::vector<int64_t>> codes(num_keys);
-  std::vector<uint8_t> descending(num_keys), float_key(num_keys);
-  for (size_t k = 0; k < num_keys; ++k) {
-    const auto& item = node.items[k];
-    TDP_ASSIGN_OR_RETURN(Column key_col, EvaluateExprToColumn(
-                                             *item.expr, input, EvalOpts(ctx)));
-    Tensor keys = key_col.DecodeValues();
-    if (keys.dim() != 1) {
-      return Status::TypeError("ORDER BY key must be a scalar column");
-    }
-    bool is_float = false;
-    TDP_ASSIGN_OR_RETURN(codes[k], TensorOrderCodes(keys, &is_float));
-    descending[k] = item.descending ? 1 : 0;
-    float_key[k] = is_float ? 1 : 0;
-  }
+  // The code arrays are this path's resident working set — 8 bytes/row/key
+  // vs the payload+permutation+copy footprint the in-memory sort holds.
   const ScopedReservation code_reservation(
       mem, static_cast<int64_t>(num_keys) * rows * 8);
 
@@ -167,17 +101,9 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
   const int64_t page_rows = std::min<int64_t>(run_rows, 4096);
 
   // Full-tie comparator over all keys; stability supplies the original-
-  // index tiebreak, reproducing the in-memory composition of stable
-  // per-key sorts exactly.
-  const auto row_less = [&](int64_t a, int64_t b) {
-    for (size_t k = 0; k < num_keys; ++k) {
-      const int c =
-          CompareKeyCodes(codes[k][static_cast<size_t>(a)],
-                          codes[k][static_cast<size_t>(b)],
-                          descending[k] != 0, float_key[k] != 0);
-      if (c != 0) return c < 0;
-    }
-    return false;
+  // index tiebreak, reproducing the in-memory order exactly.
+  const auto row_less = [&keys](int64_t a, int64_t b) {
+    return keys.Compare(a, b) < 0;
   };
 
   // Phase 1: sort + spill each row-order run. Run file layout:
@@ -213,8 +139,10 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
                         static_cast<size_t>(pn));
       for (size_t k = 0; k < num_keys; ++k) {
         for (int64_t i = 0; i < pn; ++i) {
+          const size_t row = static_cast<size_t>(
+              perm[static_cast<size_t>(plo + i)]);
           page_codes[k * static_cast<size_t>(pn) + static_cast<size_t>(i)] =
-              codes[k][static_cast<size_t>(perm[static_cast<size_t>(plo + i)])];
+              keys.codes[k][row];
         }
       }
       TDP_RETURN_NOT_OK(w.WriteInt64Span(page_codes.data(),
@@ -276,9 +204,9 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
   // priority_queue comparator: true when `a` merges AFTER `b`.
   const auto merge_after = [&](int64_t a, int64_t b) {
     for (size_t k = 0; k < num_keys; ++k) {
-      const int c = CompareKeyCodes(head_code(a, k), head_code(b, k),
-                                    descending[k] != 0, float_key[k] != 0);
-      if (c != 0) return c > 0;
+      const int64_t ca = head_code(a, k);
+      const int64_t cb = head_code(b, k);
+      if (ca != cb) return ca > cb;
     }
     return a > b;  // tie: lower run index first (earlier original rows)
   };
@@ -287,12 +215,9 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
   for (int64_t r = 0; r < num_runs; ++r) {
     if (cursors[static_cast<size_t>(r)]->rows_left > 0) heap.push(r);
   }
-  const int64_t out_rows =
-      node.fused_limit >= 0 ? std::min(node.fused_limit, rows) : rows;
   std::vector<std::vector<int64_t>> out_pos(static_cast<size_t>(num_runs));
   int64_t emitted = 0;
-  while (emitted < out_rows) {
-    TDP_CHECK(!heap.empty());
+  while (!heap.empty()) {
     const int64_t r = heap.top();
     heap.pop();
     RunCursor& rc = *cursors[static_cast<size_t>(r)];
@@ -310,11 +235,10 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
   // output column + one page.
   Chunk out;
   out.names = input.names;
-  std::vector<int64_t> scatter_pos;
   for (size_t j = 0; j < input.columns.size(); ++j) {
     TDP_RETURN_NOT_OK(CheckCancel(ctx));
     const Column& prototype = input.columns[j];
-    Tensor payload = AllocLike(prototype.data(), out_rows);
+    Tensor payload = AllocLike(prototype.data(), rows);
     for (int64_t r = 0; r < num_runs; ++r) {
       const std::vector<int64_t>& positions = out_pos[static_cast<size_t>(r)];
       SpillReader reader(run_files[static_cast<size_t>(r)]);
@@ -323,7 +247,6 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
       (void)run_total;
       int64_t consumed = 0;
       for (int64_t p = 0; p < pages; ++p) {
-        if (consumed >= static_cast<int64_t>(positions.size())) break;
         TDP_ASSIGN_OR_RETURN(int64_t pn, reader.ReadInt64());
         TDP_RETURN_NOT_OK(reader.Skip(
             static_cast<int64_t>(num_keys) * pn * 8));
@@ -336,14 +259,8 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
         for (int64_t c = static_cast<int64_t>(j) + 1; c < cols; ++c) {
           TDP_RETURN_NOT_OK(reader.SkipColumn());
         }
-        scatter_pos.assign(static_cast<size_t>(pn), -1);
-        for (int64_t i = 0; i < pn; ++i) {
-          if (consumed + i < static_cast<int64_t>(positions.size())) {
-            scatter_pos[static_cast<size_t>(i)] =
-                positions[static_cast<size_t>(consumed + i)];
-          }
-        }
-        ScatterRows(payload, page_col.data().Contiguous(), scatter_pos);
+        ScatterRows(payload, page_col.data().Contiguous(),
+                    positions.data() + consumed);
         consumed += pn;
       }
     }
@@ -591,14 +508,13 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
   }
 
   // Pass A: spill pages (key order codes + per-def argument doubles +
-  // distinct codes) while discovering groups. Order codes are row-local
-  // and globally consistent, so the page-wise map sees exactly the key
-  // equivalences (and the sorted iteration exactly the key order) the
-  // in-memory kernel derives from whole-column Unique ranks.
+  // distinct codes) while discovering groups. Order codes are row-local,
+  // so the page-wise key table sees exactly the key equivalences (and its
+  // sorted ranks exactly the group order) of the in-memory kernel.
   TDP_ASSIGN_OR_RETURN(std::string path, mem->NewSpillFile("aggpages"));
   SpillWriter w(path);
-  std::map<std::vector<int64_t>, int64_t> group_ids;
-  std::vector<std::pair<const std::vector<int64_t>*, int64_t>> first_rows;
+  KeyTable groups(num_key_cols);
+  std::vector<int64_t> first_rows;  // per first-seen group id
   std::vector<int64_t> key(num_key_cols);
   {
     std::vector<std::vector<int64_t>> page_key_codes(num_key_cols);
@@ -636,12 +552,13 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
       }
       // Group discovery over this page, recording each group's first
       // global row (the representative).
-      for (int64_t i = 0; i < pn; ++i) {
+      for (int64_t i = 0; i < pn && !node.group_exprs.empty(); ++i) {
         for (size_t k = 0; k < num_key_cols; ++k) {
           key[k] = page_key_codes[k][static_cast<size_t>(i)];
         }
-        auto [it, inserted] = group_ids.emplace(key, 0);
-        if (inserted) first_rows.emplace_back(&it->first, lo + i);
+        bool inserted = false;
+        groups.Insert(key.data(), &inserted);
+        if (inserted) first_rows.push_back(lo + i);
       }
       // Page out everything pass B needs.
       TDP_RETURN_NOT_OK(w.WriteInt64(pn));
@@ -664,19 +581,8 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
 
   // Renumber groups in sorted key order and recover representatives —
   // the same renumbering the in-memory kernel applies.
-  int64_t next_id = 0;
-  for (auto& [unused_key, id] : group_ids) id = next_id++;
-  const int64_t num_groups = node.group_exprs.empty() ? 1 : next_id;
-  std::vector<int64_t> representative(
-      static_cast<size_t>(std::max<int64_t>(num_groups, 1)), -1);
-  for (const auto& [key_ptr, row] : first_rows) {
-    const size_t gid = node.group_exprs.empty()
-                           ? 0
-                           : static_cast<size_t>(group_ids.at(*key_ptr));
-    if (representative[gid] < 0 || row < representative[gid]) {
-      representative[gid] = row;
-    }
-  }
+  const std::vector<int64_t> rank = groups.SortedRanks();
+  const int64_t num_groups = node.group_exprs.empty() ? 1 : groups.size();
 
   Chunk out;
 
@@ -685,8 +591,8 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
   if (!node.group_exprs.empty()) {
     Tensor rep = Tensor::Empty({num_groups}, DType::kInt64, ctx.device);
     int64_t* rp = rep.data<int64_t>();
-    for (int64_t g = 0; g < num_groups; ++g) {
-      rp[g] = representative[static_cast<size_t>(g)];
+    for (int64_t id = 0; id < num_groups; ++id) {
+      rp[rank[static_cast<size_t>(id)]] = first_rows[static_cast<size_t>(id)];
     }
     for (size_t k = 0; k < inputs.key_columns.size(); ++k) {
       Column key_col = inputs.key_columns[k];
@@ -699,7 +605,7 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
   }
 
   // Pass B, once per aggregate: re-stream the pages, resolving each row's
-  // group through the frozen map and accumulating with the in-memory
+  // group through the frozen key table and accumulating with the in-memory
   // kernel's exact arithmetic. When that kernel would have parallelized
   // (num_blocks > 1, merge cheaper than the rows), per-block partials are
   // folded in block order — pages ARE blocks (both 4096-row, both
@@ -709,11 +615,8 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
   for (size_t def_index = 0; def_index < node.aggregates.size();
        ++def_index) {
     const AggDef& def = node.aggregates[def_index];
-    std::vector<double> acc(static_cast<size_t>(num_groups), 0.0);
-    std::vector<int64_t> counts(static_cast<size_t>(num_groups), 0);
-    std::vector<unsigned char> has_flags(static_cast<size_t>(num_groups), 0);
-    std::vector<std::set<int64_t>> distinct_seen;
-    if (def.distinct) distinct_seen.resize(static_cast<size_t>(num_groups));
+    AggState total(num_groups);
+    KeyTable distinct_seen(2);  // (group, argument code) pairs
     const bool parallel_ok =
         !def.distinct && num_blocks > 1 && num_blocks * num_groups <= rows;
 
@@ -721,9 +624,6 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
     std::vector<int64_t> page_codes;
     std::vector<double> page_args;
     std::vector<int64_t> page_distinct;
-    std::vector<double> blk_acc;
-    std::vector<int64_t> blk_counts;
-    std::vector<unsigned char> blk_has;
     std::vector<int64_t> row_gid;
     for (int64_t b = 0; b < num_blocks; ++b) {
       TDP_RETURN_NOT_OK(CheckCancel(ctx));
@@ -739,7 +639,8 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
             key[k] = page_codes[k * static_cast<size_t>(pn) +
                                 static_cast<size_t>(i)];
           }
-          row_gid[static_cast<size_t>(i)] = group_ids.at(key);
+          row_gid[static_cast<size_t>(i)] =
+              rank[static_cast<size_t>(groups.Find(key.data()))];
         }
       } else if (num_key_cols > 0) {
         TDP_RETURN_NOT_OK(
@@ -767,102 +668,37 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
         TDP_RETURN_NOT_OK(reader.Skip(num_distinct_blobs * pn * 8));
       }
 
-      const auto accumulate_rows = [&](double* block_acc,
-                                       int64_t* block_counts,
-                                       unsigned char* block_has) {
+      const auto accumulate_rows = [&](AggState& state) {
         for (int64_t i = 0; i < pn; ++i) {
           const size_t g =
               static_cast<size_t>(row_gid[static_cast<size_t>(i)]);
           if (def.distinct && def.arg) {
-            if (!distinct_seen[g]
-                     .insert(page_distinct[static_cast<size_t>(i)])
-                     .second) {
-              continue;
-            }
+            const int64_t pair[2] = {static_cast<int64_t>(g),
+                                     page_distinct[static_cast<size_t>(i)]};
+            bool inserted = false;
+            distinct_seen.Insert(pair, &inserted);
+            if (!inserted) continue;
           }
-          const double v =
-              def.arg ? page_args[static_cast<size_t>(i)] : 0.0;
-          switch (def.kind) {
-            case AggKind::kCountStar:
-            case AggKind::kCount:
-              break;
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              block_acc[g] += v;
-              break;
-            case AggKind::kMin:
-              block_acc[g] = block_has[g] ? std::min(block_acc[g], v) : v;
-              break;
-            case AggKind::kMax:
-              block_acc[g] = block_has[g] ? std::max(block_acc[g], v) : v;
-              break;
-          }
-          block_has[g] = 1;
-          ++block_counts[g];
+          state.Add(def.kind, g,
+                    def.arg ? page_args[static_cast<size_t>(i)] : 0.0);
         }
       };
 
       if (parallel_ok) {
-        blk_acc.assign(static_cast<size_t>(num_groups), 0.0);
-        blk_counts.assign(static_cast<size_t>(num_groups), 0);
-        blk_has.assign(static_cast<size_t>(num_groups), 0);
-        accumulate_rows(blk_acc.data(), blk_counts.data(), blk_has.data());
         // Fold this block's partials immediately — blocks arrive in block
         // order, so the fold sequence equals the in-memory merge loop.
-        for (int64_t g = 0; g < num_groups; ++g) {
-          const size_t ug = static_cast<size_t>(g);
-          if (!blk_has[ug]) continue;
-          switch (def.kind) {
-            case AggKind::kCountStar:
-            case AggKind::kCount:
-              break;
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              acc[ug] += blk_acc[ug];
-              break;
-            case AggKind::kMin:
-              acc[ug] =
-                  has_flags[ug] ? std::min(acc[ug], blk_acc[ug]) : blk_acc[ug];
-              break;
-            case AggKind::kMax:
-              acc[ug] =
-                  has_flags[ug] ? std::max(acc[ug], blk_acc[ug]) : blk_acc[ug];
-              break;
-          }
-          has_flags[ug] = 1;
-          counts[ug] += blk_counts[ug];
-        }
+        AggState block(num_groups);
+        accumulate_rows(block);
+        total.Merge(def.kind, block);
       } else {
-        accumulate_rows(acc.data(), counts.data(), has_flags.data());
+        accumulate_rows(total);
       }
     }
 
-    const DType out_dtype =
-        node.schema[node.group_exprs.size() + def_index].dtype;
-    Tensor result = Tensor::Zeros({num_groups}, out_dtype, ctx.device);
-    for (int64_t g = 0; g < num_groups; ++g) {
-      const size_t ug = static_cast<size_t>(g);
-      double v = 0;
-      switch (def.kind) {
-        case AggKind::kCountStar:
-        case AggKind::kCount:
-          v = static_cast<double>(counts[ug]);
-          break;
-        case AggKind::kSum:
-          v = acc[ug];
-          break;
-        case AggKind::kAvg:
-          v = counts[ug] > 0 ? acc[ug] / static_cast<double>(counts[ug]) : 0;
-          break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          v = acc[ug];
-          break;
-      }
-      result.SetAt({g}, v);
-    }
     out.names.push_back(def.name);
-    out.columns.push_back(Column::Plain(std::move(result)));
+    out.columns.push_back(total.Finish(
+        def.kind, node.schema[node.group_exprs.size() + def_index].dtype,
+        ctx.device));
   }
   return out;
 }

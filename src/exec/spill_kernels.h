@@ -1,15 +1,14 @@
 #ifndef TDP_EXEC_SPILL_KERNELS_H_
 #define TDP_EXEC_SPILL_KERNELS_H_
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/statusor.h"
+#include "src/exec/key_codes.h"
 #include "src/exec/operator_kernels.h"
 #include "src/exec/operators.h"
 #include "src/plan/logical_plan.h"
@@ -24,65 +23,19 @@ namespace exec {
 // `ExecuteSort` / `BuildJoinHashTable` / `FinalizeAggregate` dispatch here
 // when `ExecContext::memory` reports the in-memory footprint over budget.
 
-// ---- Order-preserving key codes ---------------------------------------------
-//
-// The comparator currency of every spill path: each key value maps to an
-// int64 whose signed order (and equality) matches the engine's value
-// semantics exactly —
-//   * integer-kind values (int64/int32/uint8/bool, dictionary codes) map
-//     to themselves: order and equality are trivially preserved;
-//   * float-kind values map through their double magnitude with the sign
-//     folded in (-0 normalized to +0, every NaN to one canonical code that
-//     sorts above +inf) — matching ArgSort's NaN-last comparator and
-//     Unique's SameValue equivalence (-0 == +0, all NaNs equal).
-// Crucially the mapping is ROW-LOCAL, so codes computed per spill page are
-// globally consistent — unlike `ColumnToCodes`' Unique ranks, which are
-// only meaningful relative to the whole column.
-
-/// Canonical NaN code: above every finite/inf code (NaN sorts last
-/// ascending); `CompareKeyCodes` pins NaN last under descending too.
-constexpr int64_t kNanOrderCode = 0x7ff8000000000000LL;
-
-inline int64_t DoubleOrderCode(double d) {
-  if (std::isnan(d)) return kNanOrderCode;
-  if (d == 0.0) return 0;  // -0 and +0 share a code
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  const int64_t magnitude = static_cast<int64_t>(bits & 0x7fffffffffffffffULL);
-  return (bits >> 63) != 0 ? -magnitude : magnitude;
-}
-
-/// Per-row order codes for one column (see above). `is_float` reports
-/// whether the NaN-last rule applies to this key.
-StatusOr<std::vector<int64_t>> OrderPreservingCodes(const Column& column,
-                                                    bool* is_float);
-
-/// Three-way comparison of two codes of one sort key: <0, 0, >0. NaN
-/// orders last under BOTH directions (ArgSort's comparator contract).
-inline int CompareKeyCodes(int64_t a, int64_t b, bool descending,
-                           bool is_float) {
-  if (a == b) return 0;
-  if (is_float) {
-    const bool a_nan = a == kNanOrderCode;
-    const bool b_nan = b == kNanOrderCode;
-    if (a_nan != b_nan) return a_nan ? 1 : -1;
-  }
-  if (descending) return a < b ? 1 : -1;
-  return a < b ? -1 : 1;
-}
-
 // ---- External merge sort ----------------------------------------------------
 
-/// Out-of-budget ORDER BY: splits the input into row-order runs sized to
-/// the budget, stable-sorts each run and spills it (sorted key codes +
-/// exact column pages), then k-way merges the runs — ties broken by run
-/// order, i.e. by original row index, reproducing the exact permutation of
-/// the in-memory composition of stable sorts. Output columns are assembled
-/// one at a time by scattering spilled pages into place, so peak scratch
-/// is one output column + one page instead of keys+permutation+copy of the
-/// whole relation. Honors `fused_limit` by truncating the merge.
-StatusOr<Chunk> ExternalSortChunk(const plan::SortNode& node,
-                                  const Chunk& input, const ExecContext& ctx);
+/// Out-of-budget full ORDER BY (a fused-limit sort never spills: its
+/// resident set is the key codes this path keeps too). Splits the input
+/// into row-order runs sized to the budget, sorts each run and spills it
+/// (sorted key codes + exact column pages), then k-way merges the runs —
+/// ties broken by run order, i.e. by original row index, reproducing the
+/// in-memory permutation exactly. Output columns are assembled one at a
+/// time by scattering spilled pages into place, so peak scratch is one
+/// output column + one page instead of keys+permutation+copy of the whole
+/// relation. `keys` are the sort's codes over the whole `input`.
+StatusOr<Chunk> ExternalSortChunk(const Chunk& input, const SortKeys& keys,
+                                  const ExecContext& ctx);
 
 // ---- Grace hash join (spilled build payload) --------------------------------
 

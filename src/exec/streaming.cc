@@ -356,7 +356,7 @@ StatusOr<Chunk> ApplyBreaker(const LogicalNode& sink, Chunk input,
       return ExecuteSort(static_cast<const plan::SortNode&>(sink), input,
                          ctx);
     case NodeKind::kDistinct:
-      return ExecuteDistinct(input);
+      return ExecuteDistinct(input, ctx);
     case NodeKind::kTvfScan:
       return ExecuteTvfScan(static_cast<const plan::TvfScanNode&>(sink),
                             std::move(input), ctx);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/exec/key_codes.h"
 #include "src/tensor/dtype.h"
 
 namespace tdp {
@@ -25,10 +26,17 @@ int64_t RowWidthBytes(const Schema& schema) {
   return std::max<int64_t>(bytes, 1);
 }
 
+constexpr int64_t kSaturated = int64_t{1} << 62;
+
 int64_t SaturatingMul(int64_t a, int64_t b) {
   if (a <= 0 || b <= 0) return 0;
-  if (a > (int64_t{1} << 62) / b) return int64_t{1} << 62;
+  if (a > kSaturated / b) return kSaturated;
   return a * b;
+}
+
+// Operands are SaturatingMul results (each at most kSaturated).
+int64_t SaturatingAdd(int64_t a, int64_t b) {
+  return a > kSaturated - b ? kSaturated : a + b;
 }
 
 // Returns the node's estimated output rows, folding each breaker's
@@ -80,9 +88,17 @@ int64_t EstimateNode(const LogicalNode& node, const Catalog& catalog,
     }
     case NodeKind::kSort: {
       const auto& sort = static_cast<const SortNode&>(node);
-      const int64_t scratch = SaturatingMul(
-          in_rows, RowWidthBytes(node.schema) +
-                       8 * static_cast<int64_t>(sort.items.size() + 2));
+      const int64_t num_keys = static_cast<int64_t>(sort.items.size());
+      // A fused-limit sort is a bounded top-k: its key codes plus the k
+      // winning rows (ExecuteSort's reservation), whatever the input width.
+      const int64_t scratch =
+          sort.fused_limit >= 0
+              ? SaturatingAdd(
+                    SaturatingMul(in_rows, 8 * num_keys),
+                    SaturatingMul(std::min(sort.fused_limit, in_rows),
+                                  RowWidthBytes(node.schema) + 8))
+              : SaturatingMul(in_rows,
+                              RowWidthBytes(node.schema) + 8 * (num_keys + 2));
       *peak = std::max(*peak, scratch);
       return sort.fused_limit >= 0 ? std::min(sort.fused_limit, in_rows)
                                    : in_rows;
@@ -93,7 +109,8 @@ int64_t EstimateNode(const LogicalNode& node, const Catalog& catalog,
     }
     case NodeKind::kDistinct: {
       const int64_t scratch = SaturatingMul(
-          in_rows, 8 * static_cast<int64_t>(node.schema.size() + 1));
+          in_rows, exec::KeyTable::BytesPerRow(
+                       static_cast<int64_t>(node.schema.size())));
       *peak = std::max(*peak, scratch);
       return in_rows;
     }

@@ -36,7 +36,10 @@ bool SameValue(T a, T b) {
 Tensor ArgSort(const Tensor& t, bool descending) {
   TDP_CHECK(t.defined());
   TDP_CHECK_EQ(t.dim(), 1) << "ArgSort expects a 1-d tensor";
-  TDP_CHECK(t.dtype() != DType::kBool);
+  // Booleans order false < true, like the engine's key codes.
+  if (t.dtype() == DType::kBool) {
+    return ArgSort(t.Detach().To(DType::kUInt8), descending);
+  }
   const Tensor tc = t.Detach().Contiguous();
   const int64_t n = tc.numel();
   Tensor out = Tensor::Empty({n}, DType::kInt64, t.device());

@@ -278,6 +278,72 @@ TEST(EngineTest, FootprintPreRejection) {
   EXPECT_TRUE(small.ok()) << small.status().ToString();
 }
 
+TEST(EngineTest, FootprintAdmitsBoundedTopK) {
+  EngineOptions options;
+  options.max_estimated_footprint_bytes = 16 * 1024;
+  Engine engine(options);
+
+  // 1000 rows of 64 bytes: a full sort estimates ~88 KB of scratch, a
+  // LIMIT 10 top-k only its key codes plus ten rows (~9 KB).
+  constexpr int64_t kRows = 1000;
+  std::vector<int64_t> x(kRows);
+  for (int64_t i = 0; i < kRows; ++i) x[i] = (i * 37) % 1001;
+  TableBuilder builder("t");
+  builder.AddInt64("x", x);
+  for (const char* name : {"p0", "p1", "p2", "p3", "p4", "p5", "p6"}) {
+    builder.AddFloat64(name, std::vector<double>(kRows, 0.5));
+  }
+  auto table = builder.Build();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_TRUE(engine.tenant("alice").RegisterTable("t", table.value()).ok());
+
+  auto full = engine.Sql({"alice", "SELECT * FROM t ORDER BY x", {}, {}});
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), StatusCode::kResourceExhausted);
+
+  auto topk = engine.Sql(
+      {"alice", "SELECT * FROM t ORDER BY x DESC LIMIT 10", {}, {}});
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  ASSERT_EQ(topk.value()->num_rows(), 10);
+  const std::vector<int64_t> got =
+      topk.value()->column(0).data().ToVector<int64_t>();
+  for (int64_t i = 0; i < 10; ++i) EXPECT_EQ(got[i], 1000 - i);
+  EXPECT_EQ(engine.stats().rejected_footprint, 1u);
+}
+
+// ORDER BY a boolean key used to abort the process (ArgSort rejected
+// bools) while the spill path ordered them: every sort path must order
+// false < true, ties in row order, at any budget, with or without LIMIT.
+TEST(EngineTest, BoolOrderByKeySortsFalseFirst) {
+  Engine engine;
+  const std::vector<int64_t> values = {5, 1, 4, 2, 3, 0, 6, 2};
+  RegisterSmallTable(engine, "alice", values);
+
+  for (const bool descending : {false, true}) {
+    std::vector<int64_t> expect;
+    for (const bool key : {descending, !descending}) {
+      for (int64_t v : values) {
+        if ((v > 2) == key) expect.push_back(v);
+      }
+    }
+    const std::string order =
+        std::string(" ORDER BY x > 2") + (descending ? " DESC" : "");
+    for (const std::string limit : {"", " LIMIT 3"}) {
+      const std::string sql = "SELECT x FROM t" + order + limit;
+      std::vector<int64_t> want = expect;
+      if (!limit.empty()) want.resize(3);
+      for (const int64_t budget : {0, 1}) {
+        Engine::Request request{"alice", sql, {}, {}};
+        request.run.memory_budget_bytes = budget;
+        auto result = engine.Sql(request);
+        ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+        EXPECT_EQ(result.value()->column(0).data().ToVector<int64_t>(), want)
+            << sql << " budget=" << budget;
+      }
+    }
+  }
+}
+
 TEST(EngineTest, DefaultMemoryBudgetMakesBreakersSpill) {
   EngineOptions options;
   options.default_memory_budget_bytes = 1;

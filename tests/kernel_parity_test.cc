@@ -21,6 +21,10 @@
 //     build subtree.
 //   - Scratch reuse: a warm accelerated Conv2d forward allocates exactly
 //     one buffer (the output) and never grows the scratch arena.
+//   - Breaker kernels: the bounded top-k and the flat key table (GROUP BY,
+//     DISTINCT, COUNT(DISTINCT)) match a std::stable_sort / std::map
+//     reference on NaN, -0/+0, duplicate, dictionary and bool keys, at
+//     every morsel size and memory budget.
 //
 // Runs under ASan/UBSan and TSan in CI (see TDP_SANITIZER_TESTS).
 
@@ -29,7 +33,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <limits>
+#include <map>
+#include <set>
 #include <memory>
 #include <string>
 #include <vector>
@@ -668,6 +676,271 @@ TEST_F(FusedParityTest, ScanCacheInvalidatedByReRegisteredTable) {
                        /*streaming=*/true, kWholeRelation);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   ExpectBitIdentical(**fresh, **refreshed);
+}
+
+// ---- Breaker kernels vs plain references ----------------------------------
+//
+// The bounded top-k and the flat key table (GROUP BY, DISTINCT,
+// COUNT(DISTINCT)), in memory and spilled, against references kept only
+// here: a std::stable_sort and std::map/std::set over the raw values.
+
+struct BreakerRow {
+  int64_t id = 0;
+  double a = 0;  // NaN, -0, +0 and dense duplicates
+  int64_t b = 0;
+  std::string s;
+  bool flag = false;
+  int64_t v = 0;
+  double c = 0;  // like `a`, for COUNT(DISTINCT)
+};
+
+// SQL value classes of a double key: all NaNs one class (sorted last),
+// -0 == +0.
+std::pair<int, double> DoubleClass(double x) {
+  if (std::isnan(x)) return {1, 0.0};
+  return {0, x == 0.0 ? 0.0 : x};
+}
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(x)) == 0;
+}
+
+class BreakerParityTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kRows = 500;
+
+  void SetUp() override {
+    Rng rng(77);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<std::string> vocab = {"x", "w", "z", "y"};
+    const auto tricky = [&rng, nan]() {
+      switch (rng.UniformInt(0, 5)) {
+        case 0:
+          return nan;
+        case 1:
+          return -0.0;
+        case 2:
+          return 0.0;
+        default:
+          return static_cast<double>(rng.UniformInt(-3, 3));
+      }
+    };
+    std::vector<int64_t> id, b, v;
+    std::vector<double> a, c;
+    std::vector<std::string> s;
+    std::vector<bool> flag;
+    for (int64_t i = 0; i < kRows; ++i) {
+      BreakerRow row;
+      row.id = i;
+      row.a = tricky();
+      row.b = rng.UniformInt(0, 3);
+      row.s = vocab[static_cast<size_t>(rng.UniformInt(0, 3))];
+      row.flag = rng.UniformInt(0, 1) == 1;
+      row.v = rng.UniformInt(-50, 50);
+      row.c = tricky();
+      id.push_back(row.id);
+      a.push_back(row.a);
+      b.push_back(row.b);
+      s.push_back(row.s);
+      flag.push_back(row.flag);
+      v.push_back(row.v);
+      c.push_back(row.c);
+      rows_.push_back(row);
+    }
+    auto table = TableBuilder("t")
+                     .AddInt64("id", id)
+                     .AddFloat64("a", a)
+                     .AddInt64("b", b)
+                     .AddStrings("s", s)
+                     .AddBool("flag", flag)
+                     .AddInt64("v", v)
+                     .AddFloat64("c", c)
+                     .Build();
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_TRUE(session_.RegisterTable("t", table.value()).ok());
+  }
+
+  /// Runs `sql` at morsel sizes 7 / 4096 / default and budgets 0 (none),
+  /// 32 KiB and 1 byte (every breaker external), handing each result to
+  /// `check`.
+  void ForEachConfig(const std::string& sql,
+                     const std::function<void(const Table&)>& check) {
+    for (const int64_t morsel : {int64_t{7}, int64_t{4096}, int64_t{0}}) {
+      for (const int64_t budget : {int64_t{0}, int64_t{32 * 1024},
+                                   int64_t{1}}) {
+        SCOPED_TRACE(sql + " [morsel=" + std::to_string(morsel) +
+                     " budget=" + std::to_string(budget) + "]");
+        exec::RunOptions run;
+        run.exec.morsel_rows = morsel;
+        run.memory_budget_bytes = budget;
+        auto result = session_.Sql(sql, {}, run);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        check(**result);
+      }
+    }
+  }
+
+  std::vector<BreakerRow> rows_;
+  Session session_;
+};
+
+struct SortItem {
+  std::string column;
+  bool descending;
+};
+
+// Reference three-way comparison of one ORDER BY item: NaN last in both
+// directions, -0 == +0, strings lexicographic, false < true.
+int CompareItem(const BreakerRow& x, const BreakerRow& y,
+                const SortItem& item) {
+  int c = 0;
+  if (item.column == "a") {
+    const auto cx = DoubleClass(x.a), cy = DoubleClass(y.a);
+    if (cx.first != cy.first) return cx.first < cy.first ? -1 : 1;
+    c = cx.second < cy.second ? -1 : (cx.second > cy.second ? 1 : 0);
+  } else if (item.column == "b") {
+    c = x.b < y.b ? -1 : (x.b > y.b ? 1 : 0);
+  } else if (item.column == "s") {
+    c = x.s.compare(y.s) < 0 ? -1 : (x.s == y.s ? 0 : 1);
+  } else {
+    c = static_cast<int>(x.flag) - static_cast<int>(y.flag);
+  }
+  return item.descending ? -c : c;
+}
+
+TEST_F(BreakerParityTest, BoundedTopKMatchesStableSort) {
+  const std::vector<std::vector<SortItem>> orders = {
+      {{"a", false}},
+      {{"a", true}},
+      {{"s", false}, {"a", true}, {"b", false}},
+      {{"flag", true}, {"a", false}},
+      {{"b", true}, {"s", false}},
+  };
+  for (const auto& order : orders) {
+    std::vector<BreakerRow> sorted = rows_;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [&order](const BreakerRow& x, const BreakerRow& y) {
+                       for (const SortItem& item : order) {
+                         const int c = CompareItem(x, y, item);
+                         if (c != 0) return c < 0;
+                       }
+                       return false;
+                     });
+    std::string order_sql;
+    for (const SortItem& item : order) {
+      order_sql += (order_sql.empty() ? "" : ", ") + item.column +
+                   (item.descending ? " DESC" : "");
+    }
+    for (const int64_t k : {int64_t{0}, int64_t{1}, kRows - 1, kRows,
+                            kRows + 5}) {
+      const int64_t want = std::min(k, kRows);
+      ForEachConfig(
+          "SELECT id, a FROM t ORDER BY " + order_sql + " LIMIT " +
+              std::to_string(k),
+          [&](const Table& got) {
+            ASSERT_EQ(got.num_rows(), want);
+            const std::vector<int64_t> ids =
+                got.column(0).data().ToVector<int64_t>();
+            const std::vector<double> a =
+                got.column(1).data().ToVector<double>();
+            for (int64_t i = 0; i < want; ++i) {
+              const BreakerRow& ref = sorted[static_cast<size_t>(i)];
+              ASSERT_EQ(ids[static_cast<size_t>(i)], ref.id) << "rank " << i;
+              EXPECT_TRUE(SameBits(a[static_cast<size_t>(i)], ref.a));
+            }
+          });
+    }
+  }
+}
+
+TEST_F(BreakerParityTest, GroupByMatchesOrderedMap) {
+  // Two keys (float with NaN/-0, dictionary): groups in key order, the
+  // first row of each group its representative, COUNT(DISTINCT) over a
+  // float argument with the same value classes.
+  struct Group {
+    double first_a = 0;
+    int64_t count = 0;
+    int64_t sum = 0;
+    std::set<std::pair<int, double>> distinct_c;
+  };
+  std::map<std::pair<std::pair<int, double>, std::string>, Group> groups;
+  for (const BreakerRow& row : rows_) {
+    auto [it, inserted] = groups.try_emplace({DoubleClass(row.a), row.s});
+    if (inserted) it->second.first_a = row.a;
+    ++it->second.count;
+    it->second.sum += row.v;
+    it->second.distinct_c.insert(DoubleClass(row.c));
+  }
+  ForEachConfig(
+      "SELECT a, s, COUNT(*), SUM(v), COUNT(DISTINCT c) FROM t GROUP BY a, s",
+      [&](const Table& got) {
+        ASSERT_EQ(got.num_rows(), static_cast<int64_t>(groups.size()));
+        const std::vector<double> a = got.column(0).data().ToVector<double>();
+        const std::vector<std::string> s = got.column(1).DecodeStrings();
+        const auto as_doubles = [&got](int64_t c) {
+          return got.column(c).data().To(DType::kFloat64).ToVector<double>();
+        };
+        const std::vector<double> count = as_doubles(2);
+        const std::vector<double> sum = as_doubles(3);
+        const std::vector<double> distinct = as_doubles(4);
+        size_t g = 0;
+        for (const auto& [key, group] : groups) {
+          SCOPED_TRACE("group " + std::to_string(g));
+          EXPECT_TRUE(SameBits(a[g], group.first_a));
+          EXPECT_EQ(s[g], key.second);
+          EXPECT_EQ(count[g], static_cast<double>(group.count));
+          EXPECT_EQ(sum[g], static_cast<double>(group.sum));
+          EXPECT_EQ(distinct[g],
+                    static_cast<double>(group.distinct_c.size()));
+          ++g;
+        }
+      });
+
+  std::set<std::pair<int, double>> all_a;
+  for (const BreakerRow& row : rows_) all_a.insert(DoubleClass(row.a));
+  ForEachConfig("SELECT COUNT(DISTINCT a), COUNT(*) FROM t",
+                [&](const Table& got) {
+                  ASSERT_EQ(got.num_rows(), 1);
+                  EXPECT_EQ(got.column(0)
+                                .data()
+                                .To(DType::kFloat64)
+                                .ToVector<double>()[0],
+                            static_cast<double>(all_a.size()));
+                });
+
+  // Empty input: no groups, and a global COUNT(DISTINCT) of 0.
+  ForEachConfig("SELECT a, s, COUNT(*) FROM t WHERE v > 1000 GROUP BY a, s",
+                [](const Table& got) { EXPECT_EQ(got.num_rows(), 0); });
+  ForEachConfig("SELECT COUNT(DISTINCT c) FROM t WHERE v > 1000",
+                [](const Table& got) {
+                  ASSERT_EQ(got.num_rows(), 1);
+                  EXPECT_EQ(got.column(0)
+                                .data()
+                                .To(DType::kFloat64)
+                                .ToVector<double>()[0],
+                            0.0);
+                });
+}
+
+TEST_F(BreakerParityTest, DistinctKeepsFirstOccurrences) {
+  std::set<std::pair<std::pair<int, double>, int64_t>> seen;
+  std::vector<const BreakerRow*> firsts;
+  for (const BreakerRow& row : rows_) {
+    if (seen.insert({DoubleClass(row.a), row.b}).second) {
+      firsts.push_back(&row);
+    }
+  }
+  ForEachConfig("SELECT DISTINCT a, b FROM t", [&](const Table& got) {
+    ASSERT_EQ(got.num_rows(), static_cast<int64_t>(firsts.size()));
+    const std::vector<double> a = got.column(0).data().ToVector<double>();
+    const std::vector<int64_t> b = got.column(1).data().ToVector<int64_t>();
+    for (size_t i = 0; i < firsts.size(); ++i) {
+      EXPECT_TRUE(SameBits(a[i], firsts[i]->a)) << "row " << i;
+      EXPECT_EQ(b[i], firsts[i]->b) << "row " << i;
+    }
+  });
+  ForEachConfig("SELECT DISTINCT c FROM t WHERE v > 1000",
+                [](const Table& got) { EXPECT_EQ(got.num_rows(), 0); });
 }
 
 }  // namespace

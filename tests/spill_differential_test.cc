@@ -158,6 +158,13 @@ const std::vector<std::string>& Queries() {
       // DISTINCT rides the same breaker infrastructure downstream of a
       // budgeted sort.
       "SELECT DISTINCT tag, grp FROM rows ORDER BY tag, grp",
+      // Multi-key DISTINCT without ORDER BY: first-occurrence order itself
+      // is the contract.
+      "SELECT DISTINCT grp, tag FROM rows",
+      // Boolean sort keys (false < true) on the external sort and the
+      // bounded top-k alike.
+      "SELECT id, val FROM rows ORDER BY val > 0, score DESC",
+      "SELECT id, val FROM rows ORDER BY val > 0 DESC, id LIMIT 50",
   };
   return queries;
 }

@@ -250,22 +250,22 @@ TEST(OrderCodeTest, AllNansShareOneCode) {
   EXPECT_EQ(DoubleOrderCode(-qnan), kNanOrderCode);
 }
 
-TEST(OrderCodeTest, CompareKeyCodesNanLastBothDirections) {
+TEST(OrderCodeTest, DirectedCodesNanLastBothDirections) {
   const int64_t one = DoubleOrderCode(1.0);
   // Ascending: 1.0 before NaN.
-  EXPECT_LT(CompareKeyCodes(one, kNanOrderCode, /*descending=*/false,
-                            /*is_float=*/true),
-            0);
+  EXPECT_LT(DirectedCode(one, /*descending=*/false, /*is_float=*/true),
+            DirectedCode(kNanOrderCode, false, true));
   // Descending: 1.0 STILL before NaN (NaN is last in both directions,
   // matching the in-memory comparator).
-  EXPECT_LT(CompareKeyCodes(one, kNanOrderCode, /*descending=*/true,
-                            /*is_float=*/true),
-            0);
-  EXPECT_EQ(CompareKeyCodes(kNanOrderCode, kNanOrderCode, true, true), 0);
+  EXPECT_LT(DirectedCode(one, /*descending=*/true, /*is_float=*/true),
+            DirectedCode(kNanOrderCode, true, true));
+  EXPECT_EQ(DirectedCode(kNanOrderCode, true, true),
+            DirectedCode(kNanOrderCode, true, true));
   // Plain integers invert under descending.
-  EXPECT_GT(CompareKeyCodes(1, 2, /*descending=*/true, /*is_float=*/false), 0);
-  EXPECT_LT(CompareKeyCodes(1, 2, /*descending=*/false, /*is_float=*/false),
-            0);
+  EXPECT_GT(DirectedCode(1, /*descending=*/true, /*is_float=*/false),
+            DirectedCode(2, true, false));
+  EXPECT_LT(DirectedCode(1, /*descending=*/false, /*is_float=*/false),
+            DirectedCode(2, false, false));
 }
 
 TEST(OrderCodeTest, OrderPreservingCodesMatchColumnOrder) {

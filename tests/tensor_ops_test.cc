@@ -223,6 +223,15 @@ TEST(OpsTest, ArgSortPutsNanLastInBothDirections) {
   EXPECT_TRUE(std::isnan(asc[4]));
 }
 
+TEST(OpsTest, ArgSortOrdersBoolsFalseFirst) {
+  Tensor t = Tensor::FromVector(std::vector<int64_t>{1, 0, 1, 0})
+                 .To(DType::kBool);
+  EXPECT_EQ(ArgSort(t).ToVector<int64_t>(),
+            (std::vector<int64_t>{1, 3, 0, 2}));
+  EXPECT_EQ(ArgSort(t, /*descending=*/true).ToVector<int64_t>(),
+            (std::vector<int64_t>{0, 2, 1, 3}));
+}
+
 TEST(OpsTest, ArgSortAllNanDoesNotCrash) {
   // All-NaN input exercised the old comparator's undefined behavior.
   const float nan = std::numeric_limits<float>::quiet_NaN();

@@ -18,6 +18,14 @@ relative to the baseline: `items_per_second` (higher is better) when both
 sides report it, `real_time` (lower is better) otherwise. Benchmarks
 present on only one side are reported but never gate.
 
+When the baseline is itself a trajectory point (BENCH_prN.json), each
+benchmark is also checked against its best point across the trajectory up
+to the baseline (every BENCH_prM.json in the baseline's directory with
+M <= N), so a slow ratchet of sub-threshold steps fails too. Any other
+baseline name (a runner-recorded BENCH_runner.json, say) has no place in
+the trajectory, and this check is skipped. A point recorded on other
+hardware (context.num_cpus) follows --hardware-mismatch, like the baseline.
+
 User counters survive the merge and latency percentiles gate too: any
 counter named like a percentile (p50_ms, p95, p99_ms, ...) is compared
 lower-is-better at the same threshold — a serving path whose p99 blows up
@@ -28,7 +36,9 @@ never gate.
 """
 
 import argparse
+import glob
 import json
+import os
 import re
 import sys
 
@@ -140,17 +150,58 @@ def key(entry):
     return (entry["suite"], entry["name"])
 
 
+TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def real_time_ns(entry):
+    return entry["real_time"] * TIME_UNIT_NS[entry.get("time_unit", "ns")]
+
+
+def judge(b, c):
+    """(worsening, delta, shown) of `c` against `b`.
+
+    `worsening` is relative to `b` for both metric kinds, so the threshold
+    fires at the same relative slowdown whether the benchmark reports
+    throughput or time (a 30% slowdown gates at 25% either way); `delta`
+    is displayed with + = better, - = worse.
+    """
+    if "items_per_second" in b and "items_per_second" in c:
+        # Higher is better.
+        ratio = c["items_per_second"] / b["items_per_second"]
+        shown = (f"{b['items_per_second']:.0f}/s", f"{c['items_per_second']:.0f}/s")
+        return 1.0 - ratio, ratio - 1.0, shown
+    # Lower is better.
+    ratio = real_time_ns(c) / max(real_time_ns(b), 1e-12)
+    shown = (
+        f"{b['real_time']:.0f}{b['time_unit']}",
+        f"{c['real_time']:.0f}{c['time_unit']}",
+    )
+    return ratio - 1.0, 1.0 - ratio, shown
+
+
+def pr_number(path):
+    """N of a BENCH_prN.json trajectory point; infinity for other files."""
+    m = re.match(r"BENCH_pr(\d+)\.json$", os.path.basename(path))
+    return int(m.group(1)) if m else float("inf")
+
+
+def cpus(doc):
+    return doc.get("context", {}).get("num_cpus")
+
+
 def cmd_compare(args):
     base_doc = load(args.baseline)
     cur_doc = load(args.current)
     base = {key(e): e for e in merged_entries(base_doc)}
     cur = {key(e): e for e in merged_entries(cur_doc)}
 
-    base_cpus = base_doc.get("context", {}).get("num_cpus")
-    cur_cpus = cur_doc.get("context", {}).get("num_cpus")
-    hardware_mismatch = (
-        base_cpus is not None and cur_cpus is not None and base_cpus != cur_cpus
-    )
+    base_cpus = cpus(base_doc)
+    cur_cpus = cpus(cur_doc)
+
+    def mismatched(cpus_a):
+        return cpus_a is not None and cur_cpus is not None and cpus_a != cur_cpus
+
+    hardware_mismatch = mismatched(base_cpus)
     if hardware_mismatch:
         print(
             f"WARNING: baseline ran on {base_cpus} cpus, current on "
@@ -165,30 +216,11 @@ def cmd_compare(args):
         if b is None or c is None:
             rows.append((k, "-", "-", "only in " + ("current" if b is None else "baseline")))
             continue
-        # `delta` is displayed with + = better, - = worse; `worsening` is
-        # measured relative to the BASELINE for both metric kinds, so the
-        # threshold fires at the same relative slowdown whether the
-        # benchmark reports throughput or time (a 30% slowdown gates at
-        # 25% either way).
-        if "items_per_second" in b and "items_per_second" in c:
-            # Higher is better.
-            ratio = c["items_per_second"] / b["items_per_second"]
-            worsening = 1.0 - ratio
-            delta = ratio - 1.0
-            shown = (f"{b['items_per_second']:.0f}/s", f"{c['items_per_second']:.0f}/s")
-        else:
-            # Lower is better.
-            ratio = c["real_time"] / max(b["real_time"], 1e-12)
-            worsening = ratio - 1.0
-            delta = -worsening
-            shown = (
-                f"{b['real_time']:.0f}{b['time_unit']}",
-                f"{c['real_time']:.0f}{c['time_unit']}",
-            )
+        worsening, delta, shown = judge(b, c)
         verdict = f"{delta:+.1%}"
         if worsening > args.threshold:
             verdict += "  REGRESSION"
-            regressions.append((k, delta))
+            regressions.append((k, delta, hardware_mismatch))
         rows.append((k, shown[0], shown[1], verdict))
 
         # Shared user counters: percentile-named ones (p50_ms, p99_ms, ...)
@@ -209,8 +241,34 @@ def cmd_compare(args):
             verdict = f"{delta:+.1%}"
             if worsening > args.threshold:
                 verdict += "  REGRESSION"
-                regressions.append((ck, delta))
+                regressions.append((ck, delta, hardware_mismatch))
             rows.append((ck, shown[0], shown[1], verdict))
+
+    # Best point per benchmark across the trajectory, when the baseline is
+    # one of its points.
+    baseline_n = pr_number(args.baseline)
+    trajectory = [
+        path
+        for path in glob.glob(os.path.join(os.path.dirname(args.baseline), "BENCH_pr*.json"))
+        if pr_number(path) <= baseline_n
+    ] if baseline_n != float("inf") else []
+    best = {}  # key -> (entry, path, cpus)
+    for path in trajectory:
+        doc = load(path)
+        for e in merged_entries(doc):
+            c = cur.get(key(e))
+            if c is None:
+                continue
+            held = best.get(key(e))
+            if held is None or judge(held[0], e)[0] < 0:
+                best[key(e)] = (e, path, cpus(doc))
+    for k in sorted(best):
+        e, path, point_cpus = best[k]
+        worsening, delta, shown = judge(e, cur[k])
+        if worsening > args.threshold:
+            label = (k[0], f"{k[1]} [best: {os.path.basename(path)}]")
+            rows.append((label, shown[0], shown[1], f"{delta:+.1%}  REGRESSION"))
+            regressions.append((label, delta, mismatched(point_cpus)))
 
     name_w = max(len(f"{s}:{n}") for s, n in (k for k, *_ in rows)) if rows else 10
     print(f"{'benchmark'.ljust(name_w)}  {'baseline':>14}  {'current':>14}  delta")
@@ -220,11 +278,11 @@ def cmd_compare(args):
     if regressions:
         print(
             f"\n{len(regressions)} benchmark(s) regressed more than "
-            f"{args.threshold:.0%} vs {args.baseline}:"
+            f"{args.threshold:.0%} vs {args.baseline} or the trajectory best:"
         )
-        for (s, n), delta in regressions:
+        for (s, n), delta, _ in regressions:
             print(f"  {s}:{n}  {delta:+.1%}")
-        if hardware_mismatch and args.hardware_mismatch == "warn":
+        if args.hardware_mismatch == "warn" and all(m for *_, m in regressions):
             print(
                 "WARN-ONLY: hardware differs from the baseline "
                 "(--hardware-mismatch=warn); not failing. Re-record the "
